@@ -56,6 +56,62 @@ void BM_SchedulerCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelHeavy);
 
+// Steady-state churn shaped like manet_mobile's queue: ~1.5k pending
+// events with 64-byte captures (the size of phy.signal_start's). Every
+// event schedules its successor, and one in eight also cancels another
+// pending event and schedules its replacement, so records and heap
+// entries are freed and reused throughout. One iteration = one event.
+class SteadyChurn {
+ public:
+  static constexpr std::size_t kTimers = 1500;
+
+  SteadyChurn() : ids_(kTimers) {
+    for (std::size_t k = 0; k < kTimers; ++k) arm(k);
+  }
+  sim::Scheduler& scheduler() { return sched_; }
+  [[nodiscard]] std::uint64_t checksum() const { return checksum_; }
+
+ private:
+  void arm(std::size_t k) {
+    const auto delay = sim::Time::ns(rng_.uniform_int(1, 20000));
+    const std::uint64_t a = rng_.next_u64();
+    const std::uint64_t b = a * 3;
+    const std::uint64_t c = a * 5;
+    const std::uint64_t d = a * 7;
+    const std::uint64_t e = a * 11;
+    const std::uint64_t f = a * 13;
+    auto fire = [this, k, a, b, c, d, e, f] {
+      checksum_ += a ^ b ^ c ^ d ^ e ^ f;
+      fired(k);
+    };
+    static_assert(sizeof(fire) == 64);
+    ids_[k] = sched_.schedule_in(delay, std::move(fire), "bench.churn");
+  }
+  void fired(std::size_t k) {
+    arm(k);
+    if (rng_.uniform_int(0, 7) == 0) {
+      const auto victim = static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(kTimers) - 1));
+      if (sched_.cancel(ids_[victim])) arm(victim);
+    }
+  }
+
+  sim::Scheduler sched_;
+  sim::Rng rng_{1};  // NOLINT-ADHOC(rng-stream) kernel micro-bench outside a Simulator
+  std::vector<sim::EventId> ids_;
+  std::uint64_t checksum_ = 0;
+};
+
+void BM_SchedulerSteadyChurn(benchmark::State& state) {
+  SteadyChurn churn;
+  for (int i = 0; i < 100000; ++i) churn.scheduler().step();  // reach the steady state
+  for (auto _ : state) churn.scheduler().step();
+  benchmark::DoNotOptimize(churn.checksum());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pending"] = static_cast<double>(churn.scheduler().pending());
+}
+BENCHMARK(BM_SchedulerSteadyChurn);
+
 void BM_RngDraws(benchmark::State& state) {
   sim::Rng rng{1};
   for (auto _ : state) {

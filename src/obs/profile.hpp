@@ -30,7 +30,8 @@ class SchedulerProfiler final : public sim::SchedulerProbe {
     return wall_seconds_ > 0.0 ? static_cast<double>(events_) / wall_seconds_ : 0.0;
   }
   [[nodiscard]] std::size_t queue_high_water() const { return queue_high_water_; }
-  [[nodiscard]] const std::map<std::string, LabelStats>& by_label() const { return by_label_; }
+  /// Per-label totals by label text; an unlabeled event counts as "(unlabeled)".
+  [[nodiscard]] std::map<std::string, LabelStats> by_label() const;
 
   /// Fold the profile into `reg`: component "scheduler" for the totals,
   /// "scheduler.wall_ms_by_label" / "scheduler.count_by_label" for the
@@ -44,7 +45,9 @@ class SchedulerProfiler final : public sim::SchedulerProbe {
   std::uint64_t events_ = 0;
   double wall_seconds_ = 0.0;
   std::size_t queue_high_water_ = 0;
-  std::map<std::string, LabelStats> by_label_;
+  // Tallied by label pointer: no string is built per event. Equal texts
+  // at different addresses are merged when read, in by_label().
+  std::map<const char*, LabelStats> by_pointer_;
 };
 
 }  // namespace adhoc::obs

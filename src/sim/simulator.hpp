@@ -24,10 +24,10 @@ class Simulator {
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   [[nodiscard]] const Scheduler& scheduler() const { return sched_; }
 
-  EventId at(Time t, Scheduler::Callback cb, const char* label = nullptr) {
+  EventId at(Time t, Scheduler::Callback&& cb, const char* label = nullptr) {
     return sched_.schedule_at(t, std::move(cb), label);
   }
-  EventId after(Time delay, Scheduler::Callback cb, const char* label = nullptr) {
+  EventId after(Time delay, Scheduler::Callback&& cb, const char* label = nullptr) {
     return sched_.schedule_in(delay, std::move(cb), label);
   }
   bool cancel(EventId id) { return sched_.cancel(id); }

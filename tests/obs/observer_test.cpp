@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "obs/profile.hpp"
 #include "sim/simulator.hpp"
 
 namespace adhoc::obs {
@@ -68,6 +69,22 @@ TEST(RunObserver, ProfilerCollectsThroughSchedulerProbe) {
   EXPECT_EQ(flat.at("scheduler.total_executed"), 3.0);
   EXPECT_GE(flat.at("scheduler.queue_high_water"), 1.0);
   EXPECT_EQ(observer.finalized_at(), sim::Time::ms(1));
+}
+
+TEST(SchedulerProfiler, MergesEqualLabelTextsAtDifferentAddresses) {
+  // Two distinct arrays: the profiler tallies by pointer, so this is the
+  // case where two translation units spell the same label.
+  static const char first[] = "test.same";
+  static const char second[] = "test.same";
+  SchedulerProfiler prof;
+  prof.event_executed(first, 0.001, 1);
+  prof.event_executed(second, 0.002, 1);
+  prof.event_executed(nullptr, 0.0, 0);
+  const auto by_label = prof.by_label();
+  ASSERT_EQ(by_label.size(), 2u);
+  EXPECT_EQ(by_label.at("test.same").count, 2u);
+  EXPECT_DOUBLE_EQ(by_label.at("test.same").wall_seconds, 0.003);
+  EXPECT_EQ(by_label.at("(unlabeled)").count, 1u);
 }
 
 TEST(RunObserver, FinalizeRecordsTraceHealthAndFreezesProbes) {

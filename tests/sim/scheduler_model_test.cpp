@@ -19,19 +19,20 @@ TEST(SchedulerModel, RandomOpsMatchReference) {
   Rng rng{424242};
 
   // Reference: ordered (time, op-id) -> expected to fire in this order.
-  struct Expected {
-    Time at;
-    std::uint64_t op;
-  };
   std::multimap<std::pair<std::int64_t, std::uint64_t>, std::uint64_t> reference;
   std::vector<std::pair<EventId, decltype(reference)::iterator>> live;
+  std::vector<EventId> dead;  // ids of events that ran or were cancelled
   std::vector<std::uint64_t> fired;
 
+  // The slot index in an id's low 24 bits (see sim/scheduler.hpp): used
+  // only to confirm that stale cancels do hit reused slots.
+  const auto slot_of = [](EventId id) { return id & 0xFFFFFF; };
+  std::size_t stale_cancels_on_reused_slots = 0;
+
   std::uint64_t op_counter = 0;
-  Time horizon = Time::zero();
 
   for (int round = 0; round < 2000; ++round) {
-    const auto action = rng.uniform_int(0, 9);
+    const auto action = rng.uniform_int(0, 11);
     if (action < 7 || live.empty()) {
       // Schedule at a time >= now.
       const Time at = sched.now() + Time::ns(rng.uniform_int(0, 5000));
@@ -39,22 +40,37 @@ TEST(SchedulerModel, RandomOpsMatchReference) {
       const EventId id = sched.schedule_at(at, [op, &fired] { fired.push_back(op); });
       auto it = reference.emplace(std::make_pair(at.count_ns(), op), op);
       live.emplace_back(id, it);
-      horizon = std::max(horizon, at);
     } else if (action < 9) {
       // Cancel a random live event.
       const auto idx = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
       const auto [id, ref_it] = live[idx];
       if (sched.cancel(id)) reference.erase(ref_it);
+      dead.push_back(id);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (action < 10 && !dead.empty()) {
+      // Cancel an event that already ran or was cancelled: its slot may
+      // hold a newer event by now, which must stay pending.
+      const EventId stale = dead[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(dead.size()) - 1))];
+      for (const auto& [id, ref_it] : live) {
+        if (slot_of(id) == slot_of(stale)) ++stale_cancels_on_reused_slots;
+      }
+      EXPECT_FALSE(sched.cancel(stale));
+      EXPECT_FALSE(sched.is_pending(stale));
     } else {
       // Run a slice of time, consuming the reference front.
       const Time until = sched.now() + Time::ns(rng.uniform_int(0, 2000));
       sched.run_until(until);
-      // Drop newly dead entries from `live` lazily below.
-      std::erase_if(live, [&](const auto& e) { return !sched.is_pending(e.first); });
+      // Move newly run entries from `live` to `dead`.
+      std::erase_if(live, [&](const auto& e) {
+        if (sched.is_pending(e.first)) return false;
+        dead.push_back(e.first);
+        return true;
+      });
     }
   }
+  EXPECT_GT(stale_cancels_on_reused_slots, 0u);
   sched.run();
 
   // The reference's in-order op list must equal the firing order.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace adhoc::sim {
@@ -131,6 +135,110 @@ TEST(Scheduler, SchedulingInThePastThrows) {
 TEST(Scheduler, EmptyCallbackThrows) {
   Scheduler s;
   EXPECT_THROW(s.schedule_at(Time::us(1), Scheduler::Callback{}), std::invalid_argument);
+}
+
+TEST(Scheduler, EmptyStdFunctionThrows) {
+  Scheduler s;
+  EXPECT_THROW(s.schedule_at(Time::us(1), std::function<void()>{}), std::invalid_argument);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Scheduler, StaleIdAfterSlotReuseCancelsNothing) {
+  Scheduler s;
+  int fired = 0;
+  const EventId cancelled = s.schedule_at(Time::us(1), [&] { fired += 100; });
+  ASSERT_TRUE(s.cancel(cancelled));
+  const EventId ran = s.schedule_at(Time::us(2), [&] { ++fired; });  // takes the freed record
+  s.run_until(Time::us(2));
+  ASSERT_EQ(fired, 1);
+  const EventId next = s.schedule_at(Time::us(3), [&] { ++fired; });  // and again
+  EXPECT_NE(next, cancelled);
+  EXPECT_NE(next, ran);
+  EXPECT_FALSE(s.cancel(cancelled));
+  EXPECT_FALSE(s.cancel(ran));
+  EXPECT_FALSE(s.is_pending(cancelled));
+  EXPECT_FALSE(s.is_pending(ran));
+  EXPECT_TRUE(s.is_pending(next));
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Scheduler, RunningEventIsNotPending) {
+  Scheduler s;
+  EventId self = kInvalidEvent;
+  bool pending_inside = true;
+  bool cancelled_inside = true;
+  self = s.schedule_at(Time::us(1), [&] {
+    pending_inside = s.is_pending(self);
+    cancelled_inside = s.cancel(self);
+  });
+  s.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancelled_inside);
+  EXPECT_EQ(s.total_cancelled(), 0u);
+  EXPECT_EQ(s.total_executed(), 1u);
+}
+
+TEST(Scheduler, CallbackGrowingTheSlabKeepsItsCaptures) {
+  Scheduler s;
+  std::array<std::uint64_t, 8> pattern{};
+  for (std::size_t i = 0; i < pattern.size(); ++i) pattern[i] = 0x9E3779B97F4A7C15ULL * (i + 1);
+  std::vector<int> order;
+  bool captures_intact = false;
+  s.schedule_at(Time::us(1), [&s, &order, &captures_intact, pattern, expect = pattern] {
+    for (int i = 0; i < 600; ++i) {
+      // Two events per instant: same-time events keep insertion order.
+      s.schedule_at(Time::us(2 + i / 2), [&order, i] { order.push_back(i); });
+    }
+    captures_intact = pattern == expect;
+  });
+  s.run();
+  EXPECT_TRUE(captures_intact);
+  ASSERT_EQ(order.size(), 600u);
+  for (int i = 0; i < 600; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(s.queue_high_water(), 600u);
+}
+
+template <std::size_t Pad>
+struct SharedCapture {
+  std::shared_ptr<int> held;
+  std::array<char, Pad> pad{};
+  void operator()() const {}
+};
+
+template <class Capture>
+void expect_capture_released() {
+  const auto token = std::make_shared<int>(7);
+  {
+    Scheduler s;
+    s.schedule_at(Time::us(1), Capture{token});
+    EXPECT_EQ(token.use_count(), 2);
+    s.run();
+    EXPECT_EQ(token.use_count(), 1) << "after execute";
+
+    const EventId id = s.schedule_at(Time::us(2), Capture{token});
+    EXPECT_EQ(token.use_count(), 2);
+    ASSERT_TRUE(s.cancel(id));
+    EXPECT_EQ(token.use_count(), 1) << "after cancel";
+
+    s.schedule_at(Time::us(3), Capture{token});
+    s.schedule_at(Time::us(4), Capture{token});
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1) << "after destroying a scheduler with pending events";
+}
+
+TEST(Scheduler, InlineCaptureIsReleased) {
+  using Small = SharedCapture<8>;
+  static_assert(sizeof(Small) <= Scheduler::Callback::kInlineBytes);
+  expect_capture_released<Small>();
+}
+
+TEST(Scheduler, HeapCaptureIsReleased) {
+  using Large = SharedCapture<2 * Scheduler::Callback::kInlineBytes>;
+  static_assert(sizeof(Large) > Scheduler::Callback::kInlineBytes);
+  expect_capture_released<Large>();
 }
 
 TEST(Scheduler, SchedulingAtNowRuns) {
