@@ -1,8 +1,8 @@
 #pragma once
 // Shared harness for the bench_* binaries: the --seeds/--out/--jobs
 // command line every bench accepts, the wall timer feeding the perf
-// sidecar, and the scorecard finish step (write BENCH_<name>.json,
-// print where it went).
+// sidecar, the rts × tcp grid-point lookup, and the scorecard finish
+// step (write BENCH_<name>.json, print where it went).
 //
 // Usage pattern:
 //
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/aggregate.hpp"
 #include "campaign/engine.hpp"
 #include "cli_args.hpp"
 #include "report/scorecard.hpp"
@@ -129,6 +130,21 @@ inline int finish_bench(report::Scorecard& card, const BenchOptions& opt,
     return 1;
   }
   return 0;
+}
+
+/// The aggregate for the (rts, tcp) grid point, or nullptr.
+inline const campaign::PointAggregate* find_point(
+    const std::vector<campaign::PointAggregate>& points, bool rts, bool tcp) {
+  for (const auto& p : points) {
+    bool match = true;
+    for (const auto& [name, value] : p.params) {
+      // Flag axes carry exactly 0.0 / 1.0 (campaign::RunSpec::flag).
+      if (name == "rts" && (value != 0.0) != rts) match = false;  // NOLINT-ADHOC(fp-compare)
+      if (name == "tcp" && (value != 0.0) != tcp) match = false;  // NOLINT-ADHOC(fp-compare)
+    }
+    if (match) return &p;
+  }
+  return nullptr;
 }
 
 }  // namespace adhoc::bench

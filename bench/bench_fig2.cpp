@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "analysis/throughput_model.hpp"
 #include "bench_common.hpp"
 #include "campaign/campaign.hpp"
 #include "experiments/campaigns.hpp"
@@ -17,25 +18,6 @@
 #include "stats/table.hpp"
 
 using namespace adhoc;
-
-namespace {
-
-/// Mean kbps for the grid point matching the given axis values.
-double mean_kbps(const std::vector<campaign::PointAggregate>& points, bool rts, bool tcp) {
-  for (const auto& p : points) {
-    bool match = true;
-    for (const auto& [name, value] : p.params) {
-      // Flag axes carry exactly 0.0 / 1.0 (campaign::RunSpec::flag).
-      if (name == "rts" && (value != 0.0) != rts) match = false;  // NOLINT-ADHOC(fp-compare)
-      if (name == "tcp" && (value != 0.0) != tcp) match = false;  // NOLINT-ADHOC(fp-compare)
-      if (name == "rate_mbps") match = false;  // wrong campaign
-    }
-    if (match) return p.metrics.at("kbps").mean();
-  }
-  return 0.0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto opt = bench::parse_bench_options(argc, argv);
@@ -63,8 +45,9 @@ int main(int argc, char** argv) {
   for (const bool rts : {false, true}) {
     const double ideal = rts ? model.max_throughput_rts_mbps(512, phy::Rate::kR11)
                              : model.max_throughput_basic_mbps(512, phy::Rate::kR11);
-    const double udp = mean_kbps(points, rts, false) / 1000.0;
-    const double tcp = mean_kbps(points, rts, true) / 1000.0;
+    // fig2_campaign expands every (rts, tcp) point, so the lookups hit.
+    const double udp = bench::find_point(points, rts, false)->metrics.at("kbps").mean() / 1000.0;
+    const double tcp = bench::find_point(points, rts, true)->metrics.at("kbps").mean() / 1000.0;
     table.add_row({rts ? "RTS/CTS" : "no RTS/CTS", stats::Table::fmt(ideal),
                    stats::Table::fmt(udp), stats::Table::fmt(udp / ideal * 100.0, 1),
                    stats::Table::fmt(tcp), stats::Table::fmt(tcp / ideal * 100.0, 1)});

@@ -17,21 +17,6 @@
 
 namespace adhoc::benchfs {
 
-/// The aggregate for the (rts, tcp) grid point, or nullptr.
-inline const campaign::PointAggregate* find_point(
-    const std::vector<campaign::PointAggregate>& points, bool rts, bool tcp) {
-  for (const auto& p : points) {
-    bool match = true;
-    for (const auto& [name, value] : p.params) {
-      // Flag axes carry exactly 0.0 / 1.0 (campaign::RunSpec::flag).
-      if (name == "rts" && (value != 0.0) != rts) match = false;  // NOLINT-ADHOC(fp-compare)
-      if (name == "tcp" && (value != 0.0) != tcp) match = false;  // NOLINT-ADHOC(fp-compare)
-    }
-    if (match) return &p;
-  }
-  return nullptr;
-}
-
 inline int run_four_station_bench(int argc, char** argv, const std::string& figure,
                                   const std::string& layout, const std::string& session2_label,
                                   const experiments::FourStationSpec& base,
@@ -57,7 +42,7 @@ inline int run_four_station_bench(int argc, char** argv, const std::string& figu
 
   for (const bool tcp : {false, true}) {
     for (const bool rts : {false, true}) {
-      const campaign::PointAggregate* p = find_point(points, rts, tcp);
+      const campaign::PointAggregate* p = bench::find_point(points, rts, tcp);
       if (p == nullptr) continue;
       const auto& sum1 = p->metrics.at("s1_kbps");
       const auto& sum2 = p->metrics.at("s2_kbps");

@@ -32,14 +32,11 @@ campaign::RunMetrics observed(const ExperimentConfig& cfg, Fn&& fn) {
   return m;
 }
 
-/// One fig7-layout replication with overridable PHY/MAC knobs — the unit
-/// the ablation campaigns sweep. Mirrors the fig7 experiment except for
-/// the knob under study.
-FourStationRun fig7_variant_run(double pcs_range_m, phy::Rate control_rate,
-                                bool ack_requires_idle, bool ns2_phy,
-                                const ExperimentConfig& cfg, std::uint64_t seed,
-                                obs::RunObserver* obs) {
-  sim::Simulator sim{seed};
+/// The network of one ablation point: fig7's 11 Mbps basic-access MAC
+/// and calibrated PHY, with the swept PHY/MAC knobs applied.
+scenario::NetworkConfig fig7_ablation_config(double pcs_range_m, phy::Rate control_rate,
+                                             bool ack_requires_idle, bool ns2_phy,
+                                             const ExperimentConfig& cfg) {
   scenario::NetworkConfig nc;
   nc.shadowing = cfg.shadowing;
   nc.mac = mac_params_for(phy::Rate::kR11, /*rts=*/false);
@@ -56,20 +53,16 @@ FourStationRun fig7_variant_run(double pcs_range_m, phy::Rate control_rate,
     }
     nc.phy_override = phy;
   }
+  return nc;
+}
 
-  scenario::Network net{sim, nc};
-  if (obs != nullptr) net.attach_observer(*obs);
-  net.add_node({0, 0});
-  net.add_node({25, 0});
-  net.add_node({107.5, 0});
-  net.add_node({132.5, 0});
-  scenario::RunConfig rc;
-  rc.warmup = cfg.warmup;
-  rc.measure = cfg.measure;
-  const auto r = scenario::run_sessions(
-      net, {{0, 1, scenario::Transport::kUdp}, {2, 3, scenario::Transport::kUdp}}, rc);
-  if (obs != nullptr) obs->finalize(sim);
-  return {r.sessions[0].kbps, r.sessions[1].kbps, sim.scheduler().total_executed()};
+/// One ablation replication: the fig7 UDP run on network config `nc`.
+campaign::RunMetrics ablation_run(const scenario::NetworkConfig& nc, const ExperimentConfig& cfg,
+                                  const campaign::RunSpec& spec) {
+  const FourStationSpec fs = fig7_spec(/*rts=*/false, scenario::Transport::kUdp);
+  return observed(cfg, [&](obs::RunObserver* obs) {
+    return four_station_metrics(four_station_run(fs, nc, cfg, spec.seed, obs));
+  });
 }
 
 }  // namespace
@@ -224,11 +217,9 @@ ExperimentCampaign ablation_pcs_campaign(const ExperimentConfig& cfg) {
   plan.grid.add("pcs_m", {60, 150, 250});
   plan.seeds = cfg.seeds;
   auto run = [cfg](const campaign::RunSpec& spec) {
-    return observed(cfg, [&](obs::RunObserver* obs) {
-      return four_station_metrics(fig7_variant_run(spec.param("pcs_m"), phy::Rate::kR2,
-                                                   /*ack_requires_idle=*/true, /*ns2_phy=*/false,
-                                                   cfg, spec.seed, obs));
-    });
+    return ablation_run(fig7_ablation_config(spec.param("pcs_m"), phy::Rate::kR2,
+                                             /*ack_requires_idle=*/true, /*ns2_phy=*/false, cfg),
+                        cfg, spec);
   };
   return {std::move(plan), std::move(run)};
 }
@@ -239,11 +230,9 @@ ExperimentCampaign ablation_control_rate_campaign(const ExperimentConfig& cfg) {
   plan.grid.add("control_mbps", {2, 1});
   plan.seeds = cfg.seeds;
   auto run = [cfg](const campaign::RunSpec& spec) {
-    return observed(cfg, [&](obs::RunObserver* obs) {
-      return four_station_metrics(
-          fig7_variant_run(150.0, phy::rate_from_mbps(spec.param("control_mbps")),
-                           /*ack_requires_idle=*/true, /*ns2_phy=*/false, cfg, spec.seed, obs));
-    });
+    return ablation_run(fig7_ablation_config(150.0, phy::rate_from_mbps(spec.param("control_mbps")),
+                                             /*ack_requires_idle=*/true, /*ns2_phy=*/false, cfg),
+                        cfg, spec);
   };
   return {std::move(plan), std::move(run)};
 }
@@ -254,10 +243,9 @@ ExperimentCampaign ablation_ack_policy_campaign(const ExperimentConfig& cfg) {
   plan.grid.add("ack_idle", {1, 0});
   plan.seeds = cfg.seeds;
   auto run = [cfg](const campaign::RunSpec& spec) {
-    return observed(cfg, [&](obs::RunObserver* obs) {
-      return four_station_metrics(fig7_variant_run(150.0, phy::Rate::kR2, spec.flag("ack_idle"),
-                                                   /*ns2_phy=*/false, cfg, spec.seed, obs));
-    });
+    return ablation_run(fig7_ablation_config(150.0, phy::Rate::kR2, spec.flag("ack_idle"),
+                                             /*ns2_phy=*/false, cfg),
+                        cfg, spec);
   };
   return {std::move(plan), std::move(run)};
 }
@@ -269,11 +257,9 @@ ExperimentCampaign ablation_phy_campaign(const ExperimentConfig& cfg) {
   plan.seeds = cfg.seeds;
   auto run = [cfg](const campaign::RunSpec& spec) {
     // pcs -1: compare the two calibrations as shipped, no PCS override.
-    return observed(cfg, [&](obs::RunObserver* obs) {
-      return four_station_metrics(fig7_variant_run(-1.0, phy::Rate::kR2,
-                                                   /*ack_requires_idle=*/true, spec.flag("ns2"),
-                                                   cfg, spec.seed, obs));
-    });
+    return ablation_run(fig7_ablation_config(-1.0, phy::Rate::kR2, /*ack_requires_idle=*/true,
+                                             spec.flag("ns2"), cfg),
+                        cfg, spec);
   };
   return {std::move(plan), std::move(run)};
 }

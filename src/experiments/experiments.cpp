@@ -57,23 +57,6 @@ Measured two_node_throughput(const TwoNodeSpec& spec, const ExperimentConfig& cf
   return Measured::from(kbps);
 }
 
-std::vector<Fig2Row> run_fig2(const ExperimentConfig& cfg) {
-  std::vector<Fig2Row> rows;
-  const analysis::ThroughputModel model{analysis::Assumptions::standard()};
-  for (const bool rts : {false, true}) {
-    Fig2Row row;
-    row.rts = rts;
-    row.ideal_mbps = rts ? model.max_throughput_rts_mbps(512, phy::Rate::kR11)
-                         : model.max_throughput_basic_mbps(512, phy::Rate::kR11);
-    TwoNodeSpec udp{phy::Rate::kR11, rts, scenario::Transport::kUdp, 512, 10.0};
-    TwoNodeSpec tcp{phy::Rate::kR11, rts, scenario::Transport::kTcp, 512, 10.0};
-    row.udp_mbps = two_node_throughput(udp, cfg).mean / 1000.0;
-    row.tcp_mbps = two_node_throughput(tcp, cfg).mean / 1000.0;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
 // --------------------------------------------------------- range experiments
 
 std::vector<double> fig3_distances() {
@@ -84,7 +67,7 @@ std::vector<double> fig3_distances() {
 
 SingleRun loss_run(const LossSweepSpec& spec, double distance_m, const ExperimentConfig& cfg,
                    std::uint64_t seed, obs::RunObserver* obs) {
-  (void)cfg;  // probes ignore warmup/measure; kept for API uniformity
+  // Probes run on their own clock: cfg.warmup/measure do not apply.
   const sim::Time interval = sim::Time::ms(20);
   sim::Simulator sim{seed};
   phy::ShadowingParams shadowing = spec.shadowing;
@@ -145,8 +128,15 @@ double estimate_tx_range(phy::Rate rate, const ExperimentConfig& cfg, double los
 
 FourStationRun four_station_run(const FourStationSpec& spec, const ExperimentConfig& cfg,
                                 std::uint64_t seed, obs::RunObserver* obs) {
+  return four_station_run(spec, net_config_for(spec.rate, spec.rts, cfg.shadowing), cfg, seed,
+                          obs);
+}
+
+FourStationRun four_station_run(const FourStationSpec& spec, const scenario::NetworkConfig& nc,
+                                const ExperimentConfig& cfg, std::uint64_t seed,
+                                obs::RunObserver* obs) {
   sim::Simulator sim{seed};
-  scenario::Network net{sim, net_config_for(spec.rate, spec.rts, cfg.shadowing)};
+  scenario::Network net{sim, nc};
   if (obs != nullptr) net.attach_observer(*obs);
   const double x2 = spec.d12_m;
   const double x3 = spec.d12_m + spec.d23_m;

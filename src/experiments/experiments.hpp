@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/throughput_model.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/observer.hpp"
 #include "phy/rates.hpp"
@@ -62,15 +61,6 @@ struct TwoNodeSpec {
 
 /// Steady-state goodput (kbps) of a single saturated session.
 Measured two_node_throughput(const TwoNodeSpec& spec, const ExperimentConfig& cfg);
-
-/// Figure 2: ideal (eq. 1/2) vs measured UDP and TCP at 11 Mbps, m=512.
-struct Fig2Row {
-  bool rts = false;
-  double ideal_mbps = 0.0;   // analytical bound, standard assumptions
-  double udp_mbps = 0.0;
-  double tcp_mbps = 0.0;
-};
-std::vector<Fig2Row> run_fig2(const ExperimentConfig& cfg);
 
 // --------------------------------------------------------- range experiments
 
@@ -172,6 +162,14 @@ struct FourStationRun {
 };
 FourStationRun four_station_run(const FourStationSpec& spec, const ExperimentConfig& cfg,
                                 std::uint64_t seed, obs::RunObserver* obs = nullptr);
+/// The same replication on a caller-built network configuration (the
+/// ablation campaigns' PHY/MAC knobs): `nc` replaces the MAC, PHY and
+/// shadowing that spec.rate, spec.rts and cfg.shadowing would select;
+/// the layout, sessions, payload, windows and faults still come from
+/// `spec` and `cfg`.
+FourStationRun four_station_run(const FourStationSpec& spec, const scenario::NetworkConfig& nc,
+                                const ExperimentConfig& cfg, std::uint64_t seed,
+                                obs::RunObserver* obs = nullptr);
 
 /// Probe loss rate at a single distance for one seed.
 SingleRun loss_run(const LossSweepSpec& spec, double distance_m, const ExperimentConfig& cfg,

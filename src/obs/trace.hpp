@@ -9,7 +9,7 @@
 // part a hidden-terminal episode lives in — survives intact.
 //
 // Export targets:
-//  * CSV, for offline analysis next to mac::FrameTracer's frame CSVs;
+//  * CSV (time_us,dur_us,track,layer,event,a,b), for offline analysis;
 //  * Chrome trace-event JSON (chrome://tracing / Perfetto): one process
 //    per station, one thread-track per layer, instant + duration events,
 //    plus counter tracks for sampled values such as TCP cwnd.
@@ -36,7 +36,7 @@ enum class EventKind : std::uint8_t {
   kPhyRxError = 2,   // detected but undecodable (out of range / interference)
   kPhyCollision = 3, // locked frame corrupted by a later arrival
   kPhyCapture = 4,   // stronger arrival stole the receiver from a lock
-  // MAC (args: a = seq, b = bytes) — generalises mac::TraceEvent
+  // MAC DCF lifecycle (args: a = seq, b = bytes)
   kMacTxStart = 5,
   kMacRxOk = 6,
   kMacRxError = 7,

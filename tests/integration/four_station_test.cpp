@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/campaign.hpp"
+#include "experiments/campaigns.hpp"
 #include "experiments/experiments.hpp"
 
 namespace adhoc::experiments {
@@ -97,6 +99,26 @@ TEST(FourStation, TotalsReflectTheRateRegime) {
   const auto fast = four_station(fig7_spec(false, scenario::Transport::kUdp), cfg);
   const auto slow = four_station(fig9_spec(false, scenario::Transport::kUdp), cfg);
   EXPECT_GT(total(fast), total(slow) * 1.3);
+}
+
+TEST(FourStation, AblationCampaignsHonourConfigFaults) {
+  // cfg.faults reaches every replication, the fig7 ablations included:
+  // with S3 powered off for the whole run, session 2 never sends.
+  ExperimentConfig cfg;
+  cfg.seeds = {1};
+  cfg.warmup = sim::Time::ms(200);
+  cfg.measure = sim::Time::ms(800);
+  cfg.faults.node_off(2, sim::Time::zero());
+  const campaign::CampaignEngine engine{campaign::EngineConfig{1}};
+  for (const auto& def : {ablation_pcs_campaign(cfg), ablation_control_rate_campaign(cfg),
+                          ablation_ack_policy_campaign(cfg), ablation_phy_campaign(cfg)}) {
+    for (const auto& p : campaign::aggregate_by_point(engine.run(def.plan, def.run))) {
+      SCOPED_TRACE(def.plan.name + " " + campaign::point_id(p.params));
+      ASSERT_EQ(p.ok_runs, 1u);
+      EXPECT_EQ(p.metrics.at("s2_kbps").mean(), 0.0);
+      EXPECT_GT(p.metrics.at("s1_kbps").mean(), 0.0);
+    }
+  }
 }
 
 }  // namespace

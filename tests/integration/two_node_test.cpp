@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include "analysis/throughput_model.hpp"
+#include "campaign/campaign.hpp"
+#include "experiments/campaigns.hpp"
 #include "experiments/experiments.hpp"
 
 namespace adhoc::experiments {
@@ -49,18 +55,31 @@ TEST(TwoNodeIntegration, RtsCtsCostsThroughput) {
 }
 
 TEST(TwoNodeIntegration, Fig2ShapeHolds) {
-  const auto rows = run_fig2(quick_cfg());
-  ASSERT_EQ(rows.size(), 2u);
-  for (const auto& row : rows) {
+  // The bench_fig2 path: the fig2 grid on the campaign engine, folded
+  // per point. Keys are campaign::point_id strings, e.g. "rts=1,tcp=0".
+  const auto def = fig2_campaign(quick_cfg());
+  const campaign::CampaignEngine engine{campaign::EngineConfig{1}};
+  std::map<std::string, double> mbps;
+  for (const auto& p : campaign::aggregate_by_point(engine.run(def.plan, def.run))) {
+    mbps[campaign::point_id(p.params)] = p.metrics.at("kbps").mean() / 1000.0;
+  }
+  ASSERT_EQ(mbps.size(), 4u);
+  const analysis::ThroughputModel model{analysis::Assumptions::standard()};
+  const double ideal_basic = model.max_throughput_basic_mbps(512, phy::Rate::kR11);
+  const double ideal_rts = model.max_throughput_rts_mbps(512, phy::Rate::kR11);
+  for (const auto& [access, ideal] :
+       {std::pair{"rts=0", ideal_basic}, std::pair{"rts=1", ideal_rts}}) {
+    const double udp = mbps.at(std::string{access} + ",tcp=0");
+    const double tcp = mbps.at(std::string{access} + ",tcp=1");
     // Ideal >= UDP > TCP, all positive.
-    EXPECT_GT(row.ideal_mbps, 0.0);
-    EXPECT_LT(row.udp_mbps, row.ideal_mbps * 1.02);
-    EXPECT_LT(row.tcp_mbps, row.udp_mbps);
-    EXPECT_GT(row.tcp_mbps, 0.5);
+    EXPECT_GT(ideal, 0.0);
+    EXPECT_LT(udp, ideal * 1.02);
+    EXPECT_LT(tcp, udp);
+    EXPECT_GT(tcp, 0.5);
   }
   // no-RTS beats RTS in both ideal and measured UDP.
-  EXPECT_GT(rows[0].ideal_mbps, rows[1].ideal_mbps);
-  EXPECT_GT(rows[0].udp_mbps, rows[1].udp_mbps);
+  EXPECT_GT(ideal_basic, ideal_rts);
+  EXPECT_GT(mbps.at("rts=0,tcp=0"), mbps.at("rts=1,tcp=0"));
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 namespace adhoc::obs {
 namespace {
@@ -68,11 +71,27 @@ TEST(TraceSink, ChromeTraceShape) {
   EXPECT_EQ(json.find("nan"), std::string::npos);
 }
 
+TEST(TraceSink, CsvExport) {
+  TraceSink sink{8};
+  sink.instant(sim::Time::us(100), Layer::kMac, 1, EventKind::kMacTxStart, 7, 512);
+  const std::string path = ::testing::TempDir() + "/trace_sink_test.csv";
+  sink.write_csv(path);
+  std::ifstream in{path};
+  std::string header;
+  std::string row;
+  std::getline(in, header);
+  std::getline(in, row);
+  std::remove(path.c_str());
+  EXPECT_EQ(header, "time_us,dur_us,track,layer,event,a,b");
+  EXPECT_EQ(row, "100,0,1,mac,mac_tx,7,512");
+}
+
 TEST(TraceSink, NamesAndCounterKinds) {
   EXPECT_EQ(layer_name(Layer::kPhy), "phy");
   EXPECT_EQ(layer_name(Layer::kTransport), "transport");
   EXPECT_EQ(event_kind_name(EventKind::kPhyCollision), "phy_collision");
   EXPECT_EQ(event_kind_name(EventKind::kTcpFastRetransmit), "tcp_fast_retransmit");
+  EXPECT_EQ(event_kind_name(EventKind::kMacDrop), "mac_drop");
   EXPECT_TRUE(event_kind_is_counter(EventKind::kTcpCwnd));
   EXPECT_FALSE(event_kind_is_counter(EventKind::kMacTxStart));
 }

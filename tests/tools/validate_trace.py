@@ -19,20 +19,42 @@ start with the same id, the journey CSV carries the pinned schema with
 one row per journey id and exactly one terminal bucket each, the
 metrics ledger balances, and a rerun reproduces the CSV byte-for-byte.
 Finally, the CLI contract: unknown --scenario and malformed --fault-plan
-must exit non-zero with messages listing the valid names / grammar.
+must exit non-zero with messages listing the valid names / grammar; the
+removed pre-campaign verbs exit 1 with the usage text; and every
+`adhocsim <verb>` in a fenced shell block of README.md or EXPERIMENTS.md
+names a verb the usage lists.
 
 Usage: validate_trace.py <adhocsim-binary> <scratch-dir>
 """
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+REMOVED_VERBS = ("table2", "two-node", "four-station", "range", "saturation", "delay")
+SHELL_FENCES = {"sh", "bash", "shell", "console"}
 
 
 def fail(msg: str) -> None:
     print(f"obs_trace_valid: FAIL: {msg}")
     sys.exit(1)
+
+
+def doc_cli_verbs(path: pathlib.Path) -> list:
+    """(line, verb) for each `adhocsim <verb>` inside the fenced shell
+    blocks of a Markdown file."""
+    found = []
+    fence = None
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        m = re.match(r"\s*```(\S*)", line)
+        if m:
+            fence = m.group(1) if fence is None else None
+        elif fence in SHELL_FENCES:
+            found += [(lineno, v) for v in re.findall(r"\badhocsim[ \t]+([a-z][\w-]*)", line)]
+    return found
 
 
 def main() -> None:
@@ -284,6 +306,27 @@ def main() -> None:
         fail("unknown --grid exited 0")
     if "faults" not in proc.stderr:
         fail(f"unknown --grid error does not list valid names: {proc.stderr}")
+
+    # Usage is the verb list: two-space-indented command names.
+    proc = subprocess.run([adhocsim], capture_output=True, text=True, timeout=60)
+    verbs = set(re.findall(r"^  ([a-z][\w-]*)", proc.stdout, re.M))
+    if proc.returncode != 0 or not {"run", "campaign", "serve", "submit"} <= verbs:
+        fail(f"bare adhocsim exited {proc.returncode}; usage verbs {sorted(verbs)}")
+    for verb in REMOVED_VERBS:
+        if verb in verbs:
+            fail(f"usage still lists removed verb '{verb}'")
+        proc = subprocess.run([adhocsim, verb], capture_output=True, text=True, timeout=60)
+        if proc.returncode != 1 or "adhocsim <command>" not in proc.stdout:
+            fail(f"removed verb '{verb}' exited {proc.returncode} without printing usage")
+    doc_lines = 0
+    for doc in ("README.md", "EXPERIMENTS.md"):
+        for lineno, verb in doc_cli_verbs(REPO / doc):
+            doc_lines += 1
+            if verb not in verbs:
+                fail(f"{doc}:{lineno}: 'adhocsim {verb}' is not in adhocsim's usage "
+                     f"({sorted(verbs)})")
+    if doc_lines == 0:
+        fail("no adhocsim command lines found in README.md / EXPERIMENTS.md shell blocks")
 
     print(f"obs_trace_valid: OK ({len(events)} trace events, "
           f"{len(last_ts)} tracks, {len(metrics)} metric components, "

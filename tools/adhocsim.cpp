@@ -1,12 +1,5 @@
 // adhocsim — command-line front end for the 802.11b ad hoc simulator.
 //
-//   adhocsim table2
-//   adhocsim two-node [--rate 11] [--rts] [--tcp] [--distance 10]
-//                     [--payload 512] [--seconds 8] [--seeds 3]
-//   adhocsim four-station [--rate 11] [--d23 82.5] [--rts] [--tcp] [--reversed]
-//   adhocsim range [--rate 2]
-//   adhocsim saturation [--stations 8] [--rts]
-//   adhocsim delay [--rate 11] [--distance 15] [--load-mbps 1.5]
 //   adhocsim run --scenario fig7 [--seed 1] [--obs-level full]
 //                [--trace-json t.json] [--trace-csv t.csv] [--metrics m.json]
 //                [--journeys j.csv] [--journey-sample N]
@@ -34,7 +27,9 @@
 //   adhocsim version | --version
 //
 // Every subcommand maps onto the library's experiments API; run with no
-// arguments for usage.
+// arguments for usage. Single replications go through `run`, sweeps
+// through `campaign`; the paper's tables and the Bianchi comparison come
+// from the bench_table2, bench_table3 and bench_bianchi binaries.
 
 #include <csignal>
 #include <fstream>
@@ -42,10 +37,6 @@
 #include <memory>
 #include <optional>
 
-#include "analysis/bianchi.hpp"
-#include "analysis/throughput_model.hpp"
-#include "app/cbr.hpp"
-#include "app/sink.hpp"
 #include "cache/code_version.hpp"
 #include "cache/result_cache.hpp"
 #include "campaign/campaign.hpp"
@@ -69,10 +60,6 @@ using namespace adhoc;
 
 namespace {
 
-phy::Rate rate_flag(const tools::CliArgs& args) {
-  return phy::rate_from_mbps(args.num("rate", 11.0));
-}
-
 experiments::ExperimentConfig config_flag(const tools::CliArgs& args) {
   experiments::ExperimentConfig cfg;
   cfg.seeds.clear();
@@ -87,107 +74,6 @@ experiments::ExperimentConfig config_flag(const tools::CliArgs& args) {
     cfg.faults = faults::load_fault_plan(args.str("fault-plan", ""));
   }
   return cfg;
-}
-
-int cmd_table2() {
-  const analysis::ThroughputModel model{analysis::Assumptions::paper_fit()};
-  stats::Table t({"rate", "m (B)", "access", "max throughput (Mbps)"});
-  for (const auto& cell : analysis::paper_table2()) {
-    const double v = cell.rts ? model.max_throughput_rts_mbps(cell.m_bytes, cell.rate)
-                              : model.max_throughput_basic_mbps(cell.m_bytes, cell.rate);
-    t.add_row({std::string(phy::rate_name(cell.rate)), std::to_string(cell.m_bytes),
-               cell.rts ? "RTS/CTS" : "basic", stats::Table::fmt(v)});
-  }
-  std::cout << t.to_string();
-  return 0;
-}
-
-int cmd_two_node(const tools::CliArgs& args) {
-  experiments::TwoNodeSpec spec;
-  spec.rate = rate_flag(args);
-  spec.rts = args.has("rts");
-  spec.transport = args.has("tcp") ? scenario::Transport::kTcp : scenario::Transport::kUdp;
-  spec.distance_m = args.num("distance", 10.0);
-  spec.payload_bytes = static_cast<std::uint32_t>(args.integer("payload", 512));
-  const auto cfg = config_flag(args);
-  const auto r = experiments::two_node_throughput(spec, cfg);
-  const analysis::ThroughputModel model{analysis::Assumptions::standard()};
-  const double bound = spec.rts ? model.max_throughput_rts_mbps(spec.payload_bytes, spec.rate)
-                                : model.max_throughput_basic_mbps(spec.payload_bytes, spec.rate);
-  std::cout << phy::rate_name(spec.rate) << (spec.rts ? " RTS/CTS " : " basic ")
-            << (args.has("tcp") ? "TCP" : "UDP") << " @ " << spec.distance_m << " m\n"
-            << "  goodput : " << r.mean / 1000.0 << " +- " << r.ci95 / 1000.0 << " Mbps\n"
-            << "  eq(1/2) : " << bound << " Mbps (" << r.mean / 10.0 / bound << "%)\n";
-  return 0;
-}
-
-int cmd_four_station(const tools::CliArgs& args) {
-  experiments::FourStationSpec spec;
-  spec.rate = rate_flag(args);
-  spec.rts = args.has("rts");
-  spec.transport = args.has("tcp") ? scenario::Transport::kTcp : scenario::Transport::kUdp;
-  spec.d23_m = args.num("d23", 82.5);
-  spec.session2_reversed = args.has("reversed");
-  const auto cfg = config_flag(args);
-  const auto r = experiments::four_station(spec, cfg);
-  std::cout << "S1->S2: " << r.session1_kbps.mean << " +- " << r.session1_kbps.ci95
-            << " kbps\n"
-            << (spec.session2_reversed ? "S4->S3: " : "S3->S4: ") << r.session2_kbps.mean
-            << " +- " << r.session2_kbps.ci95 << " kbps\n";
-  return 0;
-}
-
-int cmd_range(const tools::CliArgs& args) {
-  const phy::Rate rate = rate_flag(args);
-  auto cfg = config_flag(args);
-  std::cout << "Estimating TX range at " << phy::rate_name(rate) << " (50% loss crossing)...\n";
-  const double range = experiments::estimate_tx_range(rate, cfg);
-  std::cout << "  " << range << " m  (paper Table 3: 30/70/90-100/110-130 m for "
-               "11/5.5/2/1 Mbps)\n";
-  return 0;
-}
-
-int cmd_saturation(const tools::CliArgs& args) {
-  experiments::SaturationSpec spec;
-  spec.n_stations = static_cast<std::uint32_t>(args.integer("stations", 8));
-  spec.rts = args.has("rts");
-  const auto cfg = config_flag(args);
-  const auto simulated = experiments::saturation_throughput(spec, cfg);
-  analysis::BianchiParams bp;
-  bp.n_stations = spec.n_stations;
-  bp.rts = spec.rts;
-  const auto model = analysis::bianchi_saturation(bp);
-  std::cout << spec.n_stations << " saturated stations ("
-            << (spec.rts ? "RTS/CTS" : "basic") << ")\n"
-            << "  simulated : " << simulated.mean << " Mbps aggregate\n"
-            << "  bianchi   : " << model.throughput_mbps << " Mbps (p=" << model.p << ")\n";
-  return 0;
-}
-
-int cmd_delay(const tools::CliArgs& args) {
-  const phy::Rate rate = rate_flag(args);
-  const double distance = args.num("distance", 15.0);
-  const double load_mbps = args.num("load-mbps", 1.0);
-
-  sim::Simulator sim{static_cast<std::uint64_t>(args.integer("seed", 1))};
-  scenario::NetworkConfig nc;
-  nc.mac = experiments::mac_params_for(rate, args.has("rts"));
-  scenario::Network net{sim, nc};
-  net.add_node({0, 0});
-  net.add_node({distance, 0});
-  app::UdpSink sink{sim, net.udp(1), 9000};
-  auto& sock = net.udp(0).open(9000);
-  app::CbrSource cbr{sim, sock, net.node(1).ip(), 9000, 512,
-                     app::CbrSource::interval_for_rate(512, load_mbps * 1e6)};
-  cbr.start(sim::Time::ms(10));
-  sim.run_until(sim::Time::sec(10));
-
-  const auto& d = sink.delay_ms();
-  std::cout << "One-way delay at " << phy::rate_name(rate) << ", " << distance << " m, "
-            << load_mbps << " Mbps offered (" << d.count() << " packets):\n"
-            << "  p50 " << d.median() << " ms, p95 " << d.percentile(95) << " ms, p99 "
-            << d.percentile(99) << " ms, max " << d.max() << " ms\n";
-  return 0;
 }
 
 std::optional<obs::ObsLevel> obs_level_flag(const tools::CliArgs& args,
@@ -251,7 +137,7 @@ int cmd_run(const tools::CliArgs& args) {
   std::cout << "adhocsim " << cache::code_version() << '\n';
   if (scen == "two-node") {
     experiments::TwoNodeSpec spec;
-    spec.rate = rate_flag(args);
+    spec.rate = phy::rate_from_mbps(args.num("rate", 11.0));
     spec.rts = rts;
     spec.transport = transport;
     spec.distance_m = args.num("distance", 10.0);
@@ -689,16 +575,11 @@ int cmd_version() {
 void usage() {
   std::cout <<
       "adhocsim <command> [flags]\n"
-      "  table2                            analytical max throughput table\n"
-      "  two-node [--rate R] [--rts] [--tcp] [--distance D] [--payload B]\n"
-      "  four-station [--rate R] [--d23 D] [--rts] [--tcp] [--reversed]\n"
-      "  range [--rate R]                  estimate TX range\n"
-      "  saturation [--stations N] [--rts] simulated vs Bianchi\n"
-      "  delay [--rate R] [--distance D] [--load-mbps L]\n"
       "  run --scenario two-node|fig7|fig9|fig11|fig12|manet [--seed N] [--rts] [--tcp]\n"
       "      [--obs-level off|metrics|trace|full|journeys] [--trace-json PATH]\n"
       "      [--trace-csv PATH] [--metrics PATH]  one observed replication\n"
       "      [--journeys PATH] [--journey-sample N]  packet-journey CSV + ledger\n"
+      "      two-node extras: [--rate R] [--distance D]\n"
       "      manet extras: [--stations N] [--placement grid|uniform]\n"
       "      [--mobility static|waypoint|gauss-markov] [--field M] [--spacing M]\n"
       "      [--flows N] [--flow-kbps K]\n"
@@ -733,12 +614,6 @@ int main(int argc, char** argv) {
   try {
     const tools::CliArgs args{argc, argv};
     const std::string& cmd = args.command();
-    if (cmd == "table2") return cmd_table2();
-    if (cmd == "two-node") return cmd_two_node(args);
-    if (cmd == "four-station") return cmd_four_station(args);
-    if (cmd == "range") return cmd_range(args);
-    if (cmd == "saturation") return cmd_saturation(args);
-    if (cmd == "delay") return cmd_delay(args);
     if (cmd == "run") return cmd_run(args);
     if (cmd == "campaign") return cmd_campaign(args);
     if (cmd == "scorecard") return cmd_scorecard(args);

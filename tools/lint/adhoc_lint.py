@@ -200,6 +200,25 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+def in_pp_number(text: str, quote: int) -> bool:
+    """True when the ' at text[quote] continues a preprocessing number (a
+    token starting with a digit, or with '.' then a digit), i.e. is a
+    C++14 digit separator.  Anything else opens a character literal:
+    u8'a', L'x' and '\\'' are tokens that do not start with a digit."""
+    start = quote
+    while start > 0:
+        prev = text[start - 1]
+        if prev.isalnum() or prev in "_.'":
+            start -= 1
+        elif prev in "+-" and start > 1 and text[start - 2] in "eEpP":
+            start -= 2  # exponent sign inside the number: 1e+1'0
+        else:
+            break
+    if start == quote:
+        return False
+    return text[start].isdigit() or (text[start] == "." and text[start + 1].isdigit())
+
+
 def strip_comments_and_strings(text: str) -> str:
     """Blank out comments and string/char literal contents, preserving
     line structure, so rule regexes never match inside prose or data.
@@ -237,6 +256,9 @@ def strip_comments_and_strings(text: str) -> str:
                     state = STRING
                     out.append('"')
                     i += 1
+            elif c == "'" and in_pp_number(text, i):
+                out.append(c)  # C++14 digit separator: 1'000'000
+                i += 1
             elif c == "'":
                 state = CHAR
                 out.append("'")
